@@ -303,8 +303,12 @@ def build_sheaf(nf, digraph):
                                          % (v, e, el))
                 restr[(v, e)] = Hom(mods[v], mods[e], elem_map=mapping)
         return CellSheaf(digraph, mods, restr)
-    ground = {"nat": NAT, "int": INT, "bool": BOOL, "qpos": QPOS}[nf.semiring]()
-    return constant_sheaf(digraph, FreeSemimodule(ground, ("u",)))
+    grounds = {"nat": NAT, "int": INT, "bool": BOOL, "qpos": QPOS}
+    if nf.semiring not in grounds:
+        raise UnsupportedRepresentation(
+            "no constant sheaf over %r; declare stalk lines" % nf.semiring)
+    return constant_sheaf(digraph, FreeSemimodule(grounds[nf.semiring](),
+                                                  ("u",)))
 
 
 class Report:

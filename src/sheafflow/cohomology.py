@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .congruence import DEFAULT_BOUND
+from .congruence import DEFAULT_BOUND, congruence_closure_finite
 from .digraph import CellSet, closure, full_cellset
 from .errors import SheafflowError, UnsupportedRepresentation
 from .semimodule import (FreeSemimodule, PresentedSemimodule,
@@ -48,8 +48,11 @@ class SumSpace:
         self.ground = sheaf.ground
         stalks = [sheaf.stalks[c] for c in self.cells]
         self.stalks = dict(zip(self.cells, stalks))
+        self.index = {c: i for i, c in enumerate(self.cells)}
         if all(p.is_finite() for p in stalks):
             self.mode = "finite"
+            self._zero = tuple(p.zero() for p in stalks)
+            self._adds = [p.ambient.add for p in stalks]
         else:
             self.mode = "linear"
             self.offsets = {}
@@ -66,18 +69,16 @@ class SumSpace:
                 self.dims[c] = d
                 off += d
             self.total = off
+            self._zero = tuple(self.ground.zero for _ in range(off))
 
     # -- element structure --------------------------------------------------
 
     def zero(self):
-        if self.mode == "finite":
-            return tuple(self.stalks[c].zero() for c in self.cells)
-        return tuple(self.ground.zero for _ in range(self.total))
+        return self._zero
 
     def add(self, x, y):
         if self.mode == "finite":
-            return tuple(self.stalks[c].ambient.add(a, b)
-                         for c, a, b in zip(self.cells, x, y))
+            return tuple(add(a, b) for add, a, b in zip(self._adds, x, y))
         return tuple(self.ground.add(a, b) for a, b in zip(x, y))
 
     def smul(self, lam, x):
@@ -96,19 +97,23 @@ class SumSpace:
         return True
 
     def embed(self, cell, local):
+        return self.assemble({cell: local})
+
+    def assemble(self, locals_):
+        """The sum of the embeddings of distinct cells' local values
+        ({cell: local}): those values at their cells, zero elsewhere."""
         if self.mode == "finite":
-            out = list(self.zero())
-            out[self.cells.index(cell)] = local
-            return tuple(out)
-        out = [self.ground.zero] * self.total
-        off = self.offsets[cell]
-        for i, v in enumerate(local):
-            out[off + i] = v
+            return tuple(locals_.get(c, z)
+                         for c, z in zip(self.cells, self._zero))
+        out = list(self._zero)
+        for cell, local in locals_.items():
+            off = self.offsets[cell]
+            out[off: off + len(local)] = local
         return tuple(out)
 
     def project(self, x, cell):
         if self.mode == "finite":
-            return x[self.cells.index(cell)]
+            return x[self.index[cell]]
         off = self.offsets[cell]
         return tuple(x[off: off + self.dims[cell]])
 
@@ -117,6 +122,20 @@ class SumSpace:
             raise UnsupportedRepresentation("enumeration needs finite stalks")
         locals_ = [self.stalks[c].elements() for c in self.cells]
         return [tuple(combo) for combo in product(*locals_)]
+
+    def congruence(self, pairs):
+        """Representative map of the congruence that `pairs` generate on the
+        enumerated finite space.  With total stalks every sum is defined and
+        the embedded local elements generate the space, so merged pairs are
+        translated by those alone."""
+        els = self.enumerate_defined()
+        if all(p.is_total() for p in self.stalks.values()):
+            shifts = [self.embed(c, y) for c in self.cells
+                      for y in self.stalks[c].elements()]
+            return congruence_closure_finite(els, pairs, self.add,
+                                             shifts=shifts)
+        return congruence_closure_finite(els, pairs, self.add,
+                                         defined=self.defined)
 
     def generators(self):
         """(cell, local generator, flat vector) triples, linear mode."""
@@ -136,18 +155,6 @@ class SumSpace:
                 for u, v in amb.relations:
                     rels.append((self.embed(c, u), self.embed(c, v)))
         return rels
-
-    def pretty(self, x):
-        parts = []
-        for c in self.cells:
-            loc = self.project(x, c)
-            if self.mode == "finite":
-                if loc != self.stalks[c].zero():
-                    parts.append("%s@%s" % (loc, c))
-            else:
-                if any(v != self.ground.zero for v in loc):
-                    parts.append("%s@%s" % (list(loc), c))
-        return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +177,7 @@ class CochainDiagram:
     def _push(self, x, side):
         """side '-' pushes along sources, '+' along targets."""
         g = self.sheaf.base
-        out = self.espace.zero()
+        images = {}
         for e in self.ecells:
             v = g.src[e] if side == "-" else g.tgt[e]
             if v is None or v not in self.vcells:
@@ -179,8 +186,8 @@ class CochainDiagram:
             img = self.sheaf.restriction(v, e).apply(local)
             if img is None:
                 return None
-            out = self.espace.add(out, self.espace.embed(e, img))
-        return out
+            images[e] = img
+        return self.espace.assemble(images)
 
     def d_minus(self, x):
         return self._push(x, "-")
@@ -275,9 +282,6 @@ class H1Result:
         if self.classes is None:
             raise UnsupportedRepresentation("H1 is not enumerable")
         return self.classes
-
-    def zero_class(self):
-        return self.class_of(self.space.zero())
 
     def invariants(self):
         """Ground-int invariants (free rank, torsion) when available."""
@@ -404,17 +408,14 @@ def h1(cells, sheaf, bound=DEFAULT_BOUND):
 
 
 def _h1_finite(diag):
-    from .congruence import congruence_closure_finite
     es = diag.espace
-    els = [x for x in es.enumerate_defined()]
     pairs = []
     for x in diag.vspace.enumerate_defined():
         dm = diag.d_minus(x)
         dp = diag.d_plus(x)
         if dm is not None and dp is not None:
             pairs.append((dm, dp))
-    rep = congruence_closure_finite(els, pairs, add=es.add,
-                                    defined=es.defined)
+    rep = es.congruence(pairs)
     classes = sorted(set(rep.values()), key=lambda t: repr(t))
     return H1Result(diag, class_map=rep, classes=classes)
 

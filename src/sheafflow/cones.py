@@ -157,7 +157,3 @@ def in_cone(x, gens):
     n = len(gens)
     A = [[g[i] for g in gens] for i in range(len(x))]
     return lp_feasible(A, list(x), n) is not None
-
-
-def cone_contains_cone(gens_small, gens_big):
-    return all(in_cone(g, gens_big) for g in gens_small)

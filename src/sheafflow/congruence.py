@@ -111,13 +111,15 @@ def _vectors_up_to(n, total):
             yield (head,) + tail
 
 
-def congruence_closure_finite(els, pairs, add, defined=None):
+def congruence_closure_finite(els, pairs, add, defined=None, shifts=None):
     """Smallest semimodule congruence containing the pairs, on a finite
     enumerated carrier; returns the representative map.
 
-    Worklist closure: every merged pair is translated by every element
-    exactly once, which suffices by transitivity.  `add` may return None
-    for undefined partial sums.
+    Worklist closure: every merged pair is translated by every element of
+    `shifts` (by default the whole carrier) exactly once, which suffices by
+    transitivity.  When every sum is defined, any additive generating set
+    of the carrier gives the same congruence.  `add` may return None for
+    undefined partial sums.
     """
     els = list(els)
     index = {v: i for i, v in enumerate(els)}
@@ -142,7 +144,7 @@ def congruence_closure_finite(els, pairs, add, defined=None):
             union(index[a], index[b])
     while work:
         a, b = work.pop()
-        for w in els:
+        for w in els if shifts is None else shifts:
             wa = add(w, a)
             wb = add(w, b)
             if wa is None or wb is None:

@@ -78,9 +78,6 @@ class Digraph:
         tgt = {e: (self.tgt[e] if self.tgt[e] in vs else None) for e in es}
         return Digraph(vs, es, src, tgt)
 
-    def without_edge(self, e):
-        return self.subgraph(self.cells - {e})
-
     def __repr__(self):
         return "Digraph(%d vertices, %d edges)" % (len(self.vertices),
                                                    len(self.edges))
@@ -185,20 +182,8 @@ class SdCorrespondence:
         self.sd = sd
         self.half = half
 
-    def vertex_of(self, cell):
-        return cell
-
     def halves(self, e):
         return self.half[e]
-
-    def sd_cellset(self, c):
-        """Image of a cell subset of the base in the subdivision."""
-        cells = set(c.cells)
-        for e in c.cells & self.base.edges:
-            em, ep = self.half[e]
-            cells.add(em)
-            cells.add(ep)
-        return CellSet(self.sd, cells)
 
 
 def is_acyclic(c):

@@ -11,10 +11,10 @@ from .errors import NotSemilattice, SheafflowError
 from .homology import (Flow, enumerate_flows_finite, flow_equalizer_linear,
                        flows_from_solutions, h1, is_locally_decomposable)
 from .maxflow import ford_fulkerson
-from .weights import (WeightedNetwork, cut_value_set, enumerate_e_cuts,
-                      enumerate_lattice_flows, flow_value_set,
-                      holim_cut_values, intersect_cut_values,
-                      max_flow_by_cycles, weighted_exactness_at_edge)
+from .weights import (WeightedNetwork, cover_routable_values,
+                      enumerate_e_cuts, enumerate_lattice_flows,
+                      flow_value_set, holim_cut_values, intersect_cut_values,
+                      max_flow_by_cycles)
 
 
 def enumerate_flows(sheaf):
@@ -94,69 +94,43 @@ def _lattice_meet(m, values):
     return best[0]
 
 
-def cut_value(net, cut):
-    return cut_value_set(net, cut)
-
-
 class MfmcReport:
     def __init__(self, **kw):
         self.__dict__.update(kw)
 
-    def as_dict(self):
-        return {k: repr(v) for k, v in self.__dict__.items()}
-
 
 def mfmc_report(net, minimal_only=True):
     """Compute flow values, the homotopy limit and the cut-value
-    intersection; assert the theorem's equalities and flag duality gaps."""
-    net.require_acyclic_off_e()
+    intersection once each; assert the theorem's equalities and flag
+    duality gaps.
+
+    `minimal_only` chooses which cuts are intersected, not the result; the
+    report's `cuts` are the minimal cuts either way.  `exact_at_e` is
+    `weighted_exactness_at_edge` derived from the sets in hand: over N the
+    holim is the flow value set, and over N and a finite lattice the
+    cover-routable values are the holim.
+    """
     flows = flow_value_set(net)
-    holim = holim_cut_values(net)
-    inter_min, cuts_min = intersect_cut_values(net, minimal_only=True)
-    inter_all, _cuts_all = intersect_cut_values(net, minimal_only=False)
-    inter = inter_min if minimal_only else inter_all
-    contained = _value_subset(net, flows, inter)
-    if not contained:
+    holim = flows if net.kind == "nat" else holim_cut_values(net)
+    routable = holim if net.kind != "qpos" else cover_routable_values(net)
+    inter, cuts = intersect_cut_values(net, minimal_only=minimal_only)
+    if not flows.issubset(inter):
         raise SheafflowError(
             "flow values escape the cut-value intersection; "
             "the weak-duality invariant is violated")
-    equal_flow_holim = flows == holim
-    gap = not _value_subset(net, inter, flows)
-    witness = _gap_witness(net, inter, flows) if gap else None
-    exact = weighted_exactness_at_edge(net)
+    witness = inter.witness_not_in(flows)
+    gap = witness is not None
     return MfmcReport(flow_values=flows, holim=holim,
                       cut_intersection=inter,
-                      cut_intersection_all=inter_all,
-                      minimal_matches_all=inter_min == inter_all,
-                      flow_equals_holim=equal_flow_holim,
-                      gap=gap, witness=witness, exact_at_e=exact,
-                      cuts=cuts_min)
+                      flow_equals_holim=flows == holim,
+                      gap=gap, witness=witness,
+                      exact_at_e=routable.issubset(flows) and not gap,
+                      cuts=[c for c in cuts if c.minimal])
 
 
 def gap_check(net):
     report = mfmc_report(net)
     return report.gap, report.witness, report
-
-
-def _value_subset(net, a, b):
-    if net.kind == "qpos":
-        return all(b.contains_support(t) for t in a.supports)
-    if net.kind == "nat":
-        return all(b.contains(c) for c in a.caps)
-    return a.members <= b.members
-
-
-def _gap_witness(net, big, small):
-    if net.kind == "qpos":
-        return big.witness_not_in(small)
-    if net.kind == "nat":
-        for c in big.caps:
-            if not small.contains(c):
-                return c
-        return None
-    for m in sorted(big.members - small.members, key=repr):
-        return m
-    return None
 
 
 def h1_equals_flows_check(x, sheaf):
@@ -168,11 +142,12 @@ def h1_equals_flows_check(x, sheaf):
     h1_flows = hres.flows if hres.flows is not None else hres.generating_flows()
     dec = [f for f in flows if is_locally_decomposable(f, sheaf)[0]]
     if hres.flows is not None:
-        ok = set(dec) == set(h1_flows)
+        h1_set = set(h1_flows)
+        ok = set(dec) == h1_set
     else:
         sigs = {f.signature() for f in h1_flows}
         ok = all(f.signature() in sigs or is_locally_decomposable(f, sheaf)[0]
                  for f in dec)
     if equalizer_criteria_hold(x, sheaf) and hres.flows is not None:
-        ok = ok and set(flows) == set(h1_flows)
+        ok = ok and set(flows) == h1_set
     return ok

@@ -18,14 +18,13 @@ from itertools import product
 from . import cones, hilbert, intlinalg
 from .cohomology import SumSpace, h0
 from .cohomology import h1 as coh_h1
-from .congruence import DEFAULT_BOUND, congruence_closure_finite
+from .congruence import DEFAULT_BOUND
 from .digraph import (CellSet, closure, full_cellset, is_acyclic,
                       simple_directed_loops, subdivide)
 from .errors import (CriteriaNotMet, NoFlatCertificate, SheafflowError,
                      UnsupportedRepresentation)
-from .semimodule import (FLAT, FreeSemimodule, Hom, PartialSemimodule,
-                         PresentedSemimodule, as_partial,
-                         check_flat_certificate)
+from .semimodule import (FreeSemimodule, Hom, PartialSemimodule,
+                         PresentedSemimodule, as_partial, is_certified_flat)
 from .semiring import INT_KIND, NAT_KIND, QPOS_KIND
 from .sheaf import CellSheaf, constant_sheaf, pushforward, sd_sheaf
 
@@ -195,7 +194,7 @@ class Flow:
     def __init__(self, sheaf, sections):
         self.sheaf = sheaf
         self.sections = sections  # edge -> section dict
-        self.flags = {}
+        self._key = None
 
     def edge_value(self, e):
         return self.sections[e]["value"]
@@ -221,12 +220,21 @@ class Flow:
         return tuple((e, repr(self.edge_value(e)))
                      for e in sorted(self.sheaf.base.edges))
 
+    def _identity(self):
+        """Per edge, the reprs of its value and of its endpoint values: the
+        data flows compare by.  Computed once, as a flow's sections are
+        never changed."""
+        if self._key is None:
+            self._key = tuple(_section_key(e, self.sections[e])
+                              for e in sorted(self.sheaf.base.edges))
+        return self._key
+
     def __eq__(self, other):
-        return isinstance(other, Flow) and self.signature() == other.signature() \
-            and _boundary_signature(self) == _boundary_signature(other)
+        return (isinstance(other, Flow)
+                and self._identity() == other._identity())
 
     def __hash__(self):
-        return hash((self.signature(), _boundary_signature(self)))
+        return hash(self._identity())
 
     def __repr__(self):
         parts = ["%s:%r" % (e, self.edge_value(e))
@@ -235,28 +243,27 @@ class Flow:
         return "Flow(%s)" % ", ".join(parts) if parts else "Flow(0)"
 
 
-def _boundary_signature(flow):
-    out = []
-    for e in sorted(flow.sheaf.base.edges):
-        sec = flow.sections[e]
-        for k in sorted(k for k in sec if k != "value"):
-            out.append((e, k, repr(sec[k])))
-    return tuple(out)
+def _section_key(e, sec):
+    return (e, tuple(sorted((k, repr(v)) for k, v in sec.items())))
 
 
 def conservation_holds(sheaf, sections, v):
     """Both boundary sums at v agree (and are defined)."""
     x = sheaf.base
-    stalk = sheaf.stalks[v]
+    return _sums_agree(sheaf.stalks[v], x.out_edges(v), x.in_edges(v),
+                       sections, v)
+
+
+def _sums_agree(stalk, outs, ins, sections, v):
     amb = stalk.ambient
     lhs = amb.zero()
     rhs = amb.zero()
-    for e in x.out_edges(v):
+    for e in outs:
         val = sections[e].get(v)
         if val is None:
             return False
         lhs = amb.add(lhs, val)
-    for e in x.in_edges(v):
+    for e in ins:
         val = sections[e].get(v)
         if val is None:
             return False
@@ -267,10 +274,24 @@ def conservation_holds(sheaf, sections, v):
 
 
 def enumerate_flows_finite(sheaf):
-    """All flows of a finite-stalked sheaf, by backtracking with pruning."""
+    """All flows of a finite-stalked sheaf, by backtracking with pruning.
+
+    Enumerated once per sheaf, like the loop moves and the decomposable
+    span (a sheaf is not changed after construction); every call returns a
+    new list.
+    """
+    cached = getattr(sheaf, "_finite_flows", None)
+    if cached is None:
+        cached = sheaf._finite_flows = _backtrack_flows(sheaf)
+    return list(cached)
+
+
+def _backtrack_flows(sheaf):
     x = sheaf.base
     edges = sorted(x.edges)
-    per_edge = {e: EdgeSections(sheaf, e).enumerate() for e in edges}
+    per_edge = {e: [(sec, _section_key(e, sec))
+                    for sec in EdgeSections(sheaf, e).enumerate()]
+                for e in edges}
     verts = sorted(x.vertices)
     last_edge_at = {}
     for v in verts:
@@ -278,25 +299,29 @@ def enumerate_flows_finite(sheaf):
                     or x.src[e] == v or x.tgt[e] == v]
         if touching:
             last_edge_at[v] = max(edges.index(e) for e in touching)
+    # the vertices whose star is complete once edge i is chosen
+    checks = [[(sheaf.stalks[v], x.out_edges(v), x.in_edges(v), v)
+               for v, last in last_edge_at.items() if last == i]
+              for i in range(len(edges))]
     flows = []
 
-    def backtrack(i, chosen):
+    def backtrack(i, chosen, keys):
         if i == len(edges):
-            flows.append(Flow(sheaf, dict(chosen)))
+            flow = Flow(sheaf, dict(chosen))
+            flow._key = tuple(keys)  # its identity, from the section keys
+            flows.append(flow)
             return
         e = edges[i]
-        for sec in per_edge[e]:
+        for sec, key in per_edge[e]:
             chosen[e] = sec
-            ok = True
-            for v, last in last_edge_at.items():
-                if last == i and not conservation_holds(sheaf, chosen, v):
-                    ok = False
-                    break
-            if ok:
-                backtrack(i + 1, chosen)
+            keys.append(key)
+            if all(_sums_agree(stalk, outs, ins, chosen, v)
+                   for stalk, outs, ins, v in checks[i]):
+                backtrack(i + 1, chosen, keys)
+            keys.pop()
             del chosen[e]
 
-    backtrack(0, {})
+    backtrack(0, {}, [])
     return flows
 
 
@@ -520,16 +545,10 @@ def equalizer_criteria_hold(x, sheaf):
         indeg, outdeg = x.degrees(v)
         if indeg == 1 or outdeg == 1:
             continue
-        if check_flat_certificate(sheaf.stalks[v]) == FLAT:
-            continue
-        if _stalk_is_free(sheaf.stalks[v]):
+        if is_certified_flat(sheaf.stalks[v]):
             continue
         return False
     return True
-
-
-def _stalk_is_free(p):
-    return isinstance(p.ambient, FreeSemimodule) and p.is_total()
 
 
 def h1_direct(x, sheaf):
@@ -577,7 +596,8 @@ def twist_by_orientation(omega, sheaf):
 def _tensor_stalk(om, fs):
     """Omega(v) (x) F(v), tracking the pair of factors for restrictions."""
     from .semimodule import tensor
-    if _stalk_is_free(fs) and len(fs.ambient.generators()) == 1:
+    if isinstance(fs.ambient, FreeSemimodule) and fs.is_total() and \
+            len(fs.ambient.generators()) == 1:
         # F(v) = S: the twist is the orientation stalk itself
         t = om
     else:
@@ -799,7 +819,7 @@ def is_locally_decomposable(flow, sheaf, search_bound=24):
 
 def _decompose_finite(sheaf, target, moves, bound):
     span = _finite_decomposable_span(sheaf, moves, bound)
-    key = tuple(sorted((e, repr(v)) for e, v in target.items()))
+    key = tuple(target.values())  # in sorted edge order, like the states
     if key in span:
         return True, span[key]
     return False, None
@@ -809,18 +829,19 @@ def _finite_decomposable_span(sheaf, moves, bound):
     """All defined sums of loop-section flows, with one witness path each.
 
     Computed once per sheaf: the state space is bounded by the flow count,
-    so a single closure replaces a search per queried flow.
+    so a single closure replaces a search per queried flow.  A state is the
+    tuple of edge values in sorted edge order; each move memoises, per edge
+    it touches, the partial sums it has taken (None: undefined).
     """
     cache = getattr(sheaf, "_decomposable_span", None)
     if cache is not None:
         return cache
     edges = sorted(sheaf.base.edges)
-    zero = {e: sheaf.stalks[e].ambient.zero() for e in edges}
-
-    def keyed(state):
-        return tuple(sorted((e, repr(v)) for e, v in state.items()))
-
-    span = {keyed(zero): []}
+    stalks = [sheaf.stalks[e] for e in edges]
+    deltas = [[(edges.index(e), v, {}) for e, v in vals.items()]
+              for _loop, vals in moves]
+    zero = tuple(stalk.zero() for stalk in stalks)
+    span = {zero: []}
     frontier = [(zero, [])]
     steps = 0
     while frontier:
@@ -829,23 +850,20 @@ def _finite_decomposable_span(sheaf, moves, bound):
         if steps > 200000:
             from .errors import SearchBoundExceeded
             raise SearchBoundExceeded("decomposability span budget")
-        for k, (loop, vals) in enumerate(moves):
-            nxt = dict(state)
-            ok = True
-            for e, v in vals.items():
-                amb = sheaf.stalks[e].ambient
-                s = amb.add(nxt[e], v)
-                if not sheaf.stalks[e].contains(s):
-                    ok = False
+        for k, delta in enumerate(deltas):
+            nxt = list(state)
+            for i, v, sums in delta:
+                if nxt[i] not in sums:
+                    sums[nxt[i]] = stalks[i].padd(nxt[i], v)
+                s = sums[nxt[i]]
+                if s is None:
                     break
-                nxt[e] = s
-            if not ok:
-                continue
-            key = keyed(nxt)
-            if key in span:
-                continue
-            span[key] = path + [k]
-            frontier.append((nxt, path + [k]))
+                nxt[i] = s
+            else:
+                key = tuple(nxt)
+                if key not in span:
+                    span[key] = path + [k]
+                    frontier.append((key, path + [k]))
     sheaf._decomposable_span = span
     return span
 
@@ -961,9 +979,7 @@ def _h0_chain(sheaf):
 
 
 def _finite_quotient(space, pairs):
-    els = space.enumerate_defined()
-    rep = congruence_closure_finite(els, pairs, add=space.add,
-                                    defined=space.defined)
+    rep = space.congruence(pairs)
     classes = sorted(set(rep.values()), key=repr)
     return H0HomologyResult(space, class_map=rep, classes=classes)
 
@@ -1388,8 +1404,7 @@ def _bottom_arrow(x, u, sheaf, twisted, h1_u, h0_u):
 
 def universal_coefficients_check(x, sheaf, coeff, bound=6):
     """H1(X;F) (x) M vs H1(X;F (x) M~) for a flat-certified M."""
-    cert = check_flat_certificate(coeff)
-    if cert != FLAT:
+    if not is_certified_flat(coeff):
         raise NoFlatCertificate("no flat certificate for %r" % (coeff,))
     base = h1(x, sheaf)
     if isinstance(coeff, FreeSemimodule) and coeff.ground.kind == QPOS_KIND:

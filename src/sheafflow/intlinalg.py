@@ -91,12 +91,6 @@ def smith_normal_form(A):
     return U, S, V
 
 
-def snf_diagonal(A):
-    _, S, _ = smith_normal_form(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))
-            if S[i][i] != 0]
-
-
 def kernel_basis(A):
     """Integer basis of {x : A x = 0} (columns as tuples)."""
     m = len(A)

@@ -23,8 +23,7 @@ from itertools import product
 
 from . import cones, hilbert, intlinalg
 from .congruence import DEFAULT_BOUND, NatCongruence
-from .errors import (MixedGround, NoFlatCertificate, SheafflowError,
-                     UnsupportedRepresentation)
+from .errors import MixedGround, SheafflowError, UnsupportedRepresentation
 from .semiring import (BOOL_KIND, FINITE_KIND, INT_KIND, NAT_KIND, QPOS_KIND,
                        GroundSemiring)
 
@@ -345,11 +344,6 @@ class PresentedSemimodule(Semimodule):
         nx, _ = self.normal_form(x)
         ny, _ = self.normal_form(y)
         return nx == ny
-
-    def eq_certified(self, x, y):
-        if self.ground.kind == NAT_KIND:
-            return self._cong.equal(x, y)
-        return self.eq(x, y), True
 
     def is_finite(self):
         return self.ground.is_finite()
@@ -1429,46 +1423,38 @@ NOT_FLAT = "not_flat"
 UNKNOWN = "unknown"
 
 
+def is_certified_flat(m):
+    """Probe-free flatness certificate: free modules, every module over a
+    ring (flat for the equalizer-preservation notion used here) and finite
+    modules isomorphic to S^n.  A partial module qualifies only when total."""
+    if isinstance(m, PartialSemimodule):
+        if not m.is_total():
+            return False
+        m = m.ambient
+    if isinstance(m, FreeSemimodule) or m.ground.is_ring:
+        return True
+    return m.is_finite() and _finite_is_free(m)
+
+
 def check_flat_certificate(m):
     """Tri-state flatness check.
 
-    Free modules are flat.  Over a ring every module is flat for the
-    equalizer-preservation notion used here.  Finite semimodules are probed
-    against a library of finite equalizer diagrams: preservation failures
-    certify NOT_FLAT, full passes certify FLAT only when the module is free,
-    otherwise the result stays UNKNOWN (the test is sound, not complete).
+    FLAT exactly when `is_certified_flat` holds.  Otherwise finite
+    semimodules are probed against a library of finite equalizer diagrams:
+    a preservation failure certifies NOT_FLAT, a full pass leaves the result
+    UNKNOWN (the test is sound, not complete).
     """
+    if is_certified_flat(m):
+        return FLAT
     if isinstance(m, PartialSemimodule):
         if not m.is_total():
-            if _is_free_partial(m):
-                return FLAT
             return UNKNOWN
         m = m.ambient
-    if isinstance(m, FreeSemimodule):
-        return FLAT
-    if m.ground.is_ring:
-        return FLAT
     if isinstance(m, IntAsNatSemimodule):
         return NOT_FLAT
-    if m.is_finite():
-        if _finite_is_free(m):
-            return FLAT
-        if not _preserves_probe_equalizers(m):
-            return NOT_FLAT
-        return UNKNOWN
+    if m.is_finite() and not _preserves_probe_equalizers(m):
+        return NOT_FLAT
     return UNKNOWN
-
-
-def require_flat(m):
-    cert = check_flat_certificate(m)
-    if cert != FLAT:
-        raise NoFlatCertificate("no flatness certificate for %r (%s)" %
-                                (m, cert))
-    return True
-
-
-def _is_free_partial(p):
-    return False
 
 
 def _finite_is_free(m):

@@ -71,9 +71,6 @@ class GroundSemiring:
     def eq(self, a, b):
         return a == b
 
-    def is_zero(self, a):
-        return a == self._zero
-
     def is_finite(self):
         return self.kind in (BOOL_KIND, FINITE_KIND)
 
@@ -95,29 +92,6 @@ class GroundSemiring:
             return tuple(x for x in range(-bound, bound + 1) if x != 0)
         return tuple(Fraction(p, q) for p in range(1, bound + 1)
                      for q in range(1, bound + 1))
-
-    def coerce(self, value):
-        """Parse/normalize a raw scalar literal into S, raising if ill-typed."""
-        if self.kind == NAT_KIND:
-            v = int(value)
-            if v < 0:
-                raise SheafflowError("negative value %r in nat" % (value,))
-            return v
-        if self.kind == INT_KIND:
-            return int(value)
-        if self.kind == BOOL_KIND:
-            v = int(value)
-            if v not in (0, 1):
-                raise SheafflowError("%r is not a Boolean scalar" % (value,))
-            return v
-        if self.kind == QPOS_KIND:
-            v = Fraction(value)
-            if v < 0:
-                raise SheafflowError("negative value %r in nonneg-rational" % (value,))
-            return v
-        if value not in self._elements:
-            raise SheafflowError("%r is not an element of %s" % (value, self.name))
-        return value
 
     def __repr__(self):
         return "GroundSemiring(%s)" % self.name

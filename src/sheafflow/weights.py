@@ -43,6 +43,16 @@ class BoxSet:
         x = tuple(x) if isinstance(x, (tuple, list)) else (x,)
         return any(all(a <= c for a, c in zip(x, cap)) for cap in self.caps)
 
+    def issubset(self, other):
+        return all(other.contains(c) for c in self.caps)
+
+    def witness_not_in(self, other):
+        """A corner of self outside other, or None."""
+        for c in self.caps:
+            if not other.contains(c):
+                return c
+        return None
+
     def add(self, other):
         return BoxSet([tuple(a + b for a, b in zip(c1, c2))
                        for c1 in self.caps for c2 in other.caps])
@@ -117,6 +127,9 @@ class SupportSet:
         t = frozenset(t)
         return any(t <= s for s in self.supports)
 
+    def issubset(self, other):
+        return all(other.contains_support(t) for t in self.supports)
+
     def add(self, other):
         return SupportSet(self.dim, [a | b for a in self.supports
                                      for b in other.supports])
@@ -171,6 +184,14 @@ class LatticeSet:
 
     def contains(self, x):
         return x in self.members
+
+    def issubset(self, other):
+        return self.members <= other.members
+
+    def witness_not_in(self, other):
+        """The member of self outside other that sorts first by repr, or
+        None."""
+        return min(self.members - other.members, key=repr, default=None)
 
     def add(self, other):
         out = set()
@@ -344,19 +365,19 @@ def cut_value_set(net, cut):
     return acc
 
 
-def min_cut_value_sets(net, minimal_only=True):
-    cuts = enumerate_e_cuts(net.digraph, net.e)
-    chosen = [c for c in cuts if c.minimal] if minimal_only else cuts
-    return chosen, [cut_value_set(net, c) for c in chosen]
-
-
 def intersect_cut_values(net, minimal_only=True):
-    cuts, vals = min_cut_value_sets(net, minimal_only)
-    if not vals:
+    """The intersection of the cut values (the full ambient set when there
+    is no e-cut) and the cuts it ranges over: the minimal e-cuts, or all of
+    them.  Both choices give the same set: every weight is down-closed and
+    holds zero, so a cut containing another has the larger value set."""
+    cuts = enumerate_e_cuts(net.digraph, net.e)
+    if minimal_only:
+        cuts = [c for c in cuts if c.minimal]
+    if not cuts:
         return net.full_ambient_set(), cuts
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = acc.intersect(v)
+    acc = cut_value_set(net, cuts[0])
+    for c in cuts[1:]:
+        acc = acc.intersect(cut_value_set(net, c))
     return acc, cuts
 
 
@@ -380,11 +401,16 @@ def holim_cut_values(net):
     Cover summands are cycle closures; a cover class survives every cut
     because each cycle through e crosses each cut, so the pushed image is
     exactly the set of defined sums of per-cycle transportable values.
+
+    Over N the cover summands are single-commodity cycle closures, so by
+    flow decomposition the holim is the flow value set, and it is returned
+    as such: `flow_equals_holim` holds by construction over N until an
+    independent route (an LP over the simple cycles through e) is added.
+    Over Q>=0 and over a finite lattice it is computed from the cycles.
     """
-    net.require_acyclic_off_e()
     if net.kind == "nat":
-        vmax = _best_cycle_sum(net)
-        return BoxSet.principal((vmax,) if net.dim == 1 else vmax)
+        return flow_value_set(net)
+    net.require_acyclic_off_e()
     if net.kind == "qpos":
         return SupportSet(net.dim, _qpos_cover_supports(net))
     return LatticeSet(net.module, _lattice_cycle_sums(net))
@@ -433,15 +459,6 @@ def max_flow_by_cycles(net):
         else:
             hi = mid - 1
     return lo
-
-
-def _best_cycle_sum(net):
-    """Cover route for the homotopy limit.
-
-    Over nat the cover summands are single-commodity cycle closures, so the
-    pushed-forward intersection is the cycle-packing optimum, which equals
-    the conservation optimum by flow decomposition: the routes coincide."""
-    return max_flow_by_cycles(net)
 
 
 def _qpos_feasible_supports(net):
@@ -608,37 +625,38 @@ def weighted_exactness_at_edge(net):
     comparison with the ambient zeroth homology).  Single-commodity directed
     weights with a non-binding marked stalk satisfy both - the classical
     theorem - and the multicommodity gap instance fails the first.
+
+    Over N the routable values are the flow value set itself (per-unit
+    routability is plain max flow), so there the first containment holds by
+    construction and only the second is tested.  The intersection is taken
+    over the minimal cuts; `--all-cuts` (`minimal_only=False`) changes
+    which cuts are intersected, not the result.  `mfmc_report` derives the
+    same answer as its `exact_at_e` from the sets it already holds.
     """
-    routable = _cover_routable_values(net)
     flows = flow_value_set(net)
     inter, _cuts = intersect_cut_values(net, minimal_only=True)
-    if net.kind == "qpos":
-        ok = all(flows.contains_support(t) for t in routable.supports)
-        return ok and all(flows.contains_support(t) for t in inter.supports)
-    if net.kind == "nat":
-        ok = all(flows.contains(c) for c in routable.caps)
-        return ok and all(flows.contains(c) for c in inter.caps)
-    ok = routable.members <= flows.members
-    return ok and inter.members <= flows.members
+    routable = flows if net.kind == "nat" else cover_routable_values(net)
+    return routable.issubset(flows) and inter.issubset(flows)
 
 
-def _cover_routable_values(net):
+def cover_routable_values(net):
     """Values whose boundary evaluations agree at both ends of the marked
-    edge through the free cover: per-commodity routability, no joint
-    constraint (free stalks impose none)."""
+    edge through the free cover, for Q>=0 and finite-lattice weights.
+
+    Over Q>=0 this is per-commodity routability, with no joint constraint
+    (free stalks impose none).  Over a finite lattice the cover sums are
+    the cycle sums, so the set is the holim.  Over N it is the flow value
+    set; callers that hold it use it instead."""
+    if net.kind == "lattice":
+        return LatticeSet(net.module, _lattice_cycle_sums(net))
     x = net.digraph
     s, t = net.source, net.sink
-    if net.kind == "qpos":
-        routable = set()
-        for i in range(net.dim):
-            usable = {f for f in x.edges if f != net.e
-                      and net.stalks[f].contains_support({i})}
-            if _has_path(x, s, t, usable):
-                routable.add(i)
-        sup = frozenset(routable)
-        return SupportSet(net.dim,
-                          [t_e & sup for t_e in net.stalks[net.e].supports])
-    if net.kind == "nat":
-        # single dimension: per-unit routability equals plain max flow
-        return flow_value_set(net)
-    return LatticeSet(net.module, _lattice_cycle_sums(net))
+    routable = set()
+    for i in range(net.dim):
+        usable = {f for f in x.edges if f != net.e
+                  and net.stalks[f].contains_support({i})}
+        if _has_path(x, s, t, usable):
+            routable.add(i)
+    sup = frozenset(routable)
+    return SupportSet(net.dim,
+                      [t_e & sup for t_e in net.stalks[net.e].supports])

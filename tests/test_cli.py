@@ -6,7 +6,8 @@ import os
 import pytest
 
 from sheafflow.cli import main, parse, run, serialize
-from sheafflow.errors import ParseError, UndeclaredId
+from sheafflow.errors import (ParseError, UndeclaredId,
+                              UnsupportedRepresentation)
 
 HERE = os.path.dirname(__file__)
 NETFILES = os.path.join(HERE, "netfiles")
@@ -149,6 +150,15 @@ def test_main_exit_codes(tmp_path, capsys):
                        "edge f1 s a\nedge f2 s b\n")
     assert main(["h1", str(outstar)]) == 3
     capsys.readouterr()
+
+
+def test_sheaf_commands_reject_table_network_without_stalks(capsys):
+    path = os.path.join(NETFILES, "lattice_series.net")
+    for command in ("h0", "h1", "homology", "sd-check", "pd-check"):
+        with pytest.raises(UnsupportedRepresentation, match="table"):
+            run(command, read("lattice_series.net"))
+        assert main([command, path]) == 2
+    assert "unsupported" in capsys.readouterr().err
 
 
 def test_main_json_output(tmp_path, capsys):

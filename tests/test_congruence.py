@@ -1,8 +1,10 @@
 """Congruence closure on N^n against the naive translation-closure oracle."""
 
 import random
+from itertools import product
 
-from sheafflow.congruence import NatCongruence, brute_force_classes
+from sheafflow.congruence import (NatCongruence, brute_force_classes,
+                                  congruence_closure_finite)
 
 
 def test_single_relation_quotient():
@@ -62,3 +64,22 @@ def test_classes_up_to():
     # (2,0) ~ (0,1)
     assert any((2, 0) in members and (0, 1) in members
                for members in classes.values())
+
+
+def test_finite_closure_by_generators_matches_closure_by_all_elements():
+    # a product of chains under componentwise max: every sum is defined and
+    # the unit vectors of each coordinate generate the carrier
+    rng = random.Random(7)
+    sizes = (3, 2, 3)
+    els = list(product(*(range(k) for k in sizes)))
+
+    def add(x, y):
+        return tuple(max(a, b) for a, b in zip(x, y))
+
+    units = [tuple(v if j == i else 0 for j in range(len(sizes)))
+             for i, k in enumerate(sizes) for v in range(k)]
+    for _ in range(30):
+        pairs = [(rng.choice(els), rng.choice(els))
+                 for _ in range(rng.randint(1, 3))]
+        assert congruence_closure_finite(els, pairs, add, shifts=units) == \
+            congruence_closure_finite(els, pairs, add)

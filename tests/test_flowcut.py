@@ -218,6 +218,49 @@ def test_weighted_exactness_fast_path_on_classical():
     assert weighted_exactness_at_edge(net)
 
 
+def _count_calls(monkeypatch, name):
+    """Record each call to the `weights` function `name`, made through any
+    module that holds it."""
+    import sheafflow.flowcut
+    import sheafflow.weights
+    orig = getattr(sheafflow.weights, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in (sheafflow.weights, sheafflow.flowcut):
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("minimal_only", [True, False])
+def test_mfmc_report_solves_max_flow_and_enumerates_cuts_once(
+        monkeypatch, minimal_only):
+    net = diamond_network((2, 1, 1, 2))
+    solves = _count_calls(monkeypatch, "max_flow_by_cycles")
+    enumerations = _count_calls(monkeypatch, "enumerate_e_cuts")
+    rep = mfmc_report(net, minimal_only=minimal_only)
+    assert (len(solves), len(enumerations)) == (1, 1)
+    assert rep.flow_values == rep.holim == BoxSet.principal(2)
+
+
+def test_mfmc_report_on_gap_file_enumerates_once(monkeypatch):
+    import os
+    from sheafflow.cli import build_network, parse
+    path = os.path.join(os.path.dirname(__file__), "netfiles", "gap.net")
+    with open(path, "r", encoding="utf-8") as fh:
+        nf, x, _marked = parse(fh.read())
+    net = build_network(nf, x)
+    enumerations = _count_calls(monkeypatch, "enumerate_e_cuts")
+    supports = _count_calls(monkeypatch, "_qpos_feasible_supports")
+    rep = mfmc_report(net)
+    assert (len(enumerations), len(supports)) == (1, 1)
+    assert rep.gap and not rep.exact_at_e
+
+
 # -- lattice weights ----------------------------------------------------------------
 
 def chain3():

@@ -11,8 +11,9 @@ from sheafflow.digraph import CellSet, Digraph, full_cellset
 from sheafflow.errors import CriteriaNotMet, NoFlatCertificate
 from sheafflow.homology import (check_exactness_at,
                                 check_sd_invariance_homology, delta_homology,
-                                h0_homology, h1, h1_direct, h1_rank_over_q,
-                                h1_relative, h1_via_duality,
+                                equalizer_criteria_hold, h0_homology, h1,
+                                h1_direct, h1_rank_over_q, h1_relative,
+                                h1_via_duality,
                                 is_locally_decomposable, orientation_sheaf,
                                 orientation_stalk_invariants,
                                 poincare_duality_check,
@@ -177,6 +178,32 @@ def test_criteria_fail_on_bifurcation_with_nonflat_stalk():
     f = constant_sheaf(x, star6_lattice())
     with pytest.raises(CriteriaNotMet):
         h1_direct(x, f)
+
+
+def test_finite_flow_enumeration_returns_a_new_list_each_call():
+    from sheafflow.homology import enumerate_flows_finite
+    x = bifurcation_digraph()
+    f = constant_sheaf(x, star6_lattice())
+    first = enumerate_flows_finite(f)
+    count = len(first)
+    first.clear()
+    again = enumerate_flows_finite(f)
+    assert count and len(again) == count
+    assert set(again) == set(enumerate_flows_finite(f))
+
+
+def test_criteria_run_no_flatness_probe(monkeypatch):
+    # only NOT_FLAT versus UNKNOWN hangs on the probes, and the criteria
+    # fail on both alike
+    import sheafflow.semimodule
+
+    def probe(m):
+        raise AssertionError("flatness probe run for %r" % (m,))
+
+    monkeypatch.setattr(sheafflow.semimodule, "_preserves_probe_equalizers",
+                        probe)
+    x = bifurcation_digraph()
+    assert not equalizer_criteria_hold(x, constant_sheaf(x, star6_lattice()))
 
 
 # -- H0 --------------------------------------------------------------------------

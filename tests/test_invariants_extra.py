@@ -4,6 +4,8 @@ randomized route agreement, orientation constancy, the cut-value formula."""
 import random
 from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
 from fixtures import nat_constant, three_cycle
 
 from sheafflow.digraph import CellSet, Digraph, closure, full_cellset
@@ -12,8 +14,9 @@ from sheafflow.homology import (h1_direct, h1_via_duality,
 from sheafflow.hilbert import is_nat_combination
 from sheafflow.semiring import INT, NAT
 from sheafflow.sheaf import constant_sheaf
-from sheafflow.weights import (BoxSet, WeightedNetwork, cut_value_set,
-                               enumerate_e_cuts)
+from sheafflow.weights import (BoxSet, SupportSet, WeightedNetwork,
+                               cut_value_set, enumerate_e_cuts,
+                               weighted_exactness_at_edge)
 
 
 def twelve_cell_digraph():
@@ -223,3 +226,36 @@ def _reachable(f, cs, summands, target):
                 seen.add(key)
                 frontier.append(nxt)
     return state == target
+
+
+@st.composite
+def forward_networks(draw):
+    """Random nat or qpos^2 networks: forward edges v_i -> v_j (i < j), so
+    X - e is acyclic, and the marked edge e from the last vertex back to
+    the first."""
+    nv = draw(st.integers(2, 5))
+    verts = ["v%d" % i for i in range(nv)]
+    forward = st.integers(0, nv - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, nv - 1)))
+    ends = {"f%d" % k: (verts[i], verts[j]) for k, (i, j) in
+            enumerate(draw(st.lists(forward, max_size=6)))}
+    ends["e"] = (verts[-1], verts[0])
+    x = Digraph(verts, ends.keys(), {f: ends[f][0] for f in ends},
+                {f: ends[f][1] for f in ends})
+    if draw(st.booleans()):
+        stalks = {f: BoxSet.principal(draw(st.integers(0, 4)))
+                  for f in sorted(ends)}
+        return WeightedNetwork(x, "nat", stalks, "e")
+    pieces = st.lists(st.frozensets(st.integers(0, 1)), min_size=1,
+                      max_size=2)
+    stalks = {f: SupportSet(2, draw(pieces)) for f in sorted(ends)}
+    return WeightedNetwork(x, "qpos", stalks, "e", dim=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(forward_networks())
+def test_report_independent_of_cut_choice_and_matches_exactness(net):
+    from sheafflow.flowcut import mfmc_report
+    rep = mfmc_report(net)
+    assert vars(mfmc_report(net, minimal_only=False)) == vars(rep)
+    assert weighted_exactness_at_edge(net) == rep.exact_at_e
