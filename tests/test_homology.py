@@ -192,6 +192,18 @@ def test_finite_flow_enumeration_returns_a_new_list_each_call():
     assert set(again) == set(enumerate_flows_finite(f))
 
 
+def test_enumerated_flows_equal_flows_rebuilt_from_their_sections():
+    # enumeration stamps each flow's comparison key; a flow built from the
+    # same sections computes it afresh
+    from sheafflow.homology import Flow, enumerate_flows_finite
+    x = bifurcation_digraph()
+    f = constant_sheaf(x, star6_lattice())
+    flows = enumerate_flows_finite(f)
+    rebuilt = [Flow(f, dict(fl.sections)) for fl in flows]
+    assert rebuilt == flows
+    assert len(set(rebuilt) | set(flows)) == len(flows)
+
+
 def test_criteria_run_no_flatness_probe(monkeypatch):
     # only NOT_FLAT versus UNKNOWN hangs on the probes, and the criteria
     # fail on both alike
