@@ -13,7 +13,8 @@ Network file grammar (one declaration per line, `#` starts a comment):
 
 Commands: h0 h1 homology orientation flows cuts cutvalue maxflow
 mfmc-check gap-check sd-check pd-check exactness-check.
-Exit codes: 0 ok, 1 parse error, 2 unsupported, 3 saturation bound hit.
+Exit codes: 0 ok, 1 parse error, 2 unsupported, 3 saturation or search
+bound hit (incomplete).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from .digraph import Digraph, full_cellset
 from .errors import (NotAcyclic, ParseError, SaturationBoundExceeded,
-                     SheafflowError, UndeclaredId, UnsupportedRepresentation,
-                     WeightOutOfSemimodule)
+                     SearchBoundExceeded, SheafflowError, UndeclaredId,
+                     UnsupportedRepresentation, WeightOutOfSemimodule)
 from .flowcut import (algebraic_mfmc, enumerate_e_cuts, ford_fulkerson_oracle,
                       mfmc_report)
 from .homology import (check_sd_invariance_homology, h0_homology,
@@ -448,7 +449,7 @@ def main(argv=None):
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1
-    except SaturationBoundExceeded as exc:
+    except (SaturationBoundExceeded, SearchBoundExceeded) as exc:
         print("incomplete: %s" % exc, file=sys.stderr)
         return 3
     except (UnsupportedRepresentation, NotAcyclic, SheafflowError) as exc:

@@ -13,8 +13,7 @@ from .homology import (Flow, enumerate_flows_finite, flow_equalizer_linear,
 from .maxflow import ford_fulkerson
 from .weights import (WeightedNetwork, cover_routable_values,
                       enumerate_e_cuts, enumerate_lattice_flows,
-                      flow_value_set, holim_cut_values, intersect_cut_values,
-                      max_flow_by_cycles)
+                      flow_value_set, holim_cut_values, intersect_cut_values)
 
 
 def enumerate_flows(sheaf):
@@ -50,8 +49,8 @@ def algebraic_mfmc(net):
     """
     net.require_acyclic_off_e()
     if net.kind == "nat" and net.dim == 1:
-        vmax = max_flow_by_cycles(net)
-        cuts = enumerate_e_cuts(net.digraph, net.e)
+        vmax = net.max_flow()
+        cuts = net.e_cuts()
         if not cuts:
             vmin = net.stalks[net.e].max_scalar()
         else:
@@ -67,7 +66,7 @@ def algebraic_mfmc(net):
         vmax = m.zero()
         for f in flows:
             vmax = m.add(vmax, f[net.e])
-        cuts = enumerate_e_cuts(net.digraph, net.e)
+        cuts = net.e_cuts()
         if not cuts:
             return vmax, None, False
         cut_sums = []

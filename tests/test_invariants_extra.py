@@ -259,3 +259,34 @@ def test_report_independent_of_cut_choice_and_matches_exactness(net):
     rep = mfmc_report(net)
     assert vars(mfmc_report(net, minimal_only=False)) == vars(rep)
     assert weighted_exactness_at_edge(net) == rep.exact_at_e
+
+
+@st.composite
+def nat_networks(draw):
+    """Random N networks on at most 7 vertices: up to 11 forward edges (so
+    X - e is acyclic, with parallel edges and zero capacities), sometimes
+    none into the sink, and a marked stalk of 0-15 that sometimes binds."""
+    nv = draw(st.integers(2, 7))
+    verts = ["v%d" % i for i in range(nv)]
+    sink = nv - 1
+    forward = st.integers(0, nv - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, nv - 1)))
+    pairs = draw(st.lists(forward, max_size=11))
+    if draw(st.integers(0, 4)) == 0:
+        pairs = [(i, j) for i, j in pairs if j != sink]
+    ends = {"f%d" % k: (verts[i], verts[j]) for k, (i, j) in enumerate(pairs)}
+    ends["e"] = (verts[sink], verts[0])
+    x = Digraph(verts, ends.keys(), {f: ends[f][0] for f in ends},
+                {f: ends[f][1] for f in ends})
+    stalks = {f: BoxSet.principal(draw(st.integers(0, 5))) for f in ends}
+    stalks["e"] = BoxSet.principal(draw(st.integers(0, 15)))
+    return WeightedNetwork(x, "nat", stalks, "e")
+
+
+@settings(max_examples=150, deadline=None)
+@given(nat_networks())
+def test_max_flow_is_the_oracle_clipped_by_the_marked_stalk(net):
+    from sheafflow.flowcut import ford_fulkerson_oracle
+    from sheafflow.weights import max_flow_by_cycles
+    assert max_flow_by_cycles(net) == min(net.stalks["e"].max_scalar(),
+                                          ford_fulkerson_oracle(net))
